@@ -51,6 +51,9 @@ using gmc::Rational;
 constexpr int kProgramThreads = 2;
 // Work between two probe slots.
 constexpr double kBlockMs = 100.0;
+// /proc CPU times advance in 10 ms ticks, too coarse for one round, so CPU
+// per answer is taken over windows of consecutive rounds at least this long.
+constexpr double kCpuWindowMs = 2000.0;
 
 const Clock::time_point g_process_start = Clock::now();
 
@@ -153,6 +156,7 @@ struct Block {
 struct Op {
   size_t block;
   size_t item;  // the workload case (or corpus op) it ran
+  size_t slot;  // its place in a round; every round repeats each slot once
   double latency_ms;
   uint64_t answers;
 };
@@ -184,8 +188,9 @@ void Fail(Outcome* outcome, const std::string& why) {
 
 // End-to-end metrics of a measured run; `item_failed` marks the workload
 // items whose every attempt counts as a failed operation. Every round does
-// the same work, so throughput and CPU per answer come from the median
-// round, which a burst of load on the shared host moves less than a mean.
+// the same work, so throughput comes from the median round and CPU per
+// answer from the median window of rounds, which a burst of load on the
+// shared host moves less than a mean.
 // With `normalize` false every timing stays in raw wall-clock terms
 // (reported on stderr, for comparing raw and normalized spreads).
 Metrics EndToEnd(const Measurement& m, const std::vector<bool>& item_failed,
@@ -200,11 +205,12 @@ Metrics EndToEnd(const Measurement& m, const std::vector<bool>& item_failed,
     round_cpu_ms[block.round] += block.cpu_ms * factor(block);
     probes.push_back(block.probe_after);
   }
-  std::vector<double> latencies;
+  std::map<size_t, std::vector<double>> slot_latencies;
   uint64_t answers = 0;
   *attempted = *failed = 0;
   for (const Op& op : m.ops) {
-    latencies.push_back(op.latency_ms * factor(m.blocks[op.block]));
+    slot_latencies[op.slot].push_back(op.latency_ms *
+                                      factor(m.blocks[op.block]));
     ++*attempted;
     if (item_failed[op.item]) {
       ++*failed;
@@ -212,7 +218,28 @@ Metrics EndToEnd(const Measurement& m, const std::vector<bool>& item_failed,
       answers += op.answers;
     }
   }
+  // Each slot's typical latency is its median over the rounds; the
+  // percentiles are taken over the slots. A pooled percentile would sit
+  // between two classes of operations (small and large instances, cache
+  // reads and compilations) and move by whole classes with the host's load.
+  std::vector<double> latencies;
+  for (const auto& [slot, values] : slot_latencies) {
+    latencies.push_back(Percentile(values, 0.5));
+  }
   const double answers_per_round = static_cast<double>(answers) / rounds;
+  std::vector<double> window_cpu_per_answer;
+  double window_ms = 0, window_cpu_ms = 0, window_rounds = 0;
+  for (size_t r = 0; r < rounds; ++r) {
+    window_ms += round_ms[r];
+    window_cpu_ms += round_cpu_ms[r];
+    ++window_rounds;
+    if (window_ms >= kCpuWindowMs ||
+        (r + 1 == rounds && window_cpu_per_answer.empty())) {
+      window_cpu_per_answer.push_back(window_cpu_ms /
+                                      (window_rounds * answers_per_round));
+      window_ms = window_cpu_ms = window_rounds = 0;
+    }
+  }
   const double setup_factor =
       normalize ? kProbeNominalMs / Percentile(probes, 0.5) : 1.0;
   return {{"setup_s", {m.setup_ms / 1e3 * setup_factor, "s"}},
@@ -221,7 +248,7 @@ Metrics EndToEnd(const Measurement& m, const std::vector<bool>& item_failed,
           {"latency_p50_ms", {Percentile(latencies, 0.5), "ms"}},
           {"latency_p90_ms", {Percentile(latencies, 0.9), "ms"}},
           {"cpu_ms_per_answer",
-           {Percentile(round_cpu_ms, 0.5) / answers_per_round, "ms"}},
+           {Percentile(window_cpu_per_answer, 0.5), "ms"}},
           {"peak_rss_mb", {m.peak_rss_mb, "MiB"}}};
 }
 
@@ -568,7 +595,8 @@ Outcome RunWire(const Args& args, const WireWorkload& workload, Probe* probe,
     block.probe_after = last_probe;
     for (const WireReply& reply : replies) {
       book.Add(reply, &outcome);
-      m.ops.push_back({m.blocks.size(), reply.item, reply.latency_ms, 1});
+      m.ops.push_back(
+          {m.blocks.size(), reply.item, reply.item, reply.latency_ms, 1});
     }
     m.blocks.push_back(block);
   }
@@ -674,7 +702,8 @@ Outcome RunCold(const Args& args, Probe* probe) {
         block.cpu_ms += ProcessCpuNowMs() - cpu_before;
         block.wall_ms += ms;
         since_probe_ms += ms;
-        m.ops.push_back({m.blocks.size(), i, ms, op.tids.size()});
+        m.ops.push_back({m.blocks.size(), i, half * corpus.ops.size() + i, ms,
+                         op.tids.size()});
         std::string why = status.ok() ? "" : status.message;
         const std::vector<Rational> exact = ColdAnswers(answers, &why);
         if (first[i].empty()) first[i] = exact;

@@ -21,7 +21,7 @@ namespace perfbench {
 // The probe slot's duration on the machine the reference figures in
 // README.md come from. Changing it rescales every normalized figure, so it
 // is a constant of the benchmark, never re-measured at run time.
-inline constexpr double kProbeNominalMs = 2.0;
+inline constexpr double kProbeNominalMs = 1.6;
 
 class Probe {
  public:
